@@ -19,8 +19,19 @@ import (
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
 	"cascade/internal/netlist"
+	"cascade/internal/njit"
 	"cascade/internal/sim"
 )
+
+// kernel is the evaluator behind an engine's evaluate/update schedule:
+// the netlist.Machine interpreter, or the njit compilation of that same
+// Machine (which shares its state and falls back to it for wide ops).
+type kernel interface {
+	HasActive() bool
+	Evaluate()
+	HasUpdates() bool
+	Update()
+}
 
 // route is a data-plane wire inside the forward group. Engine names are
 // instance paths; "" denotes the user-logic machine itself.
@@ -37,6 +48,14 @@ type Engine struct {
 	dev  *fpga.Device
 	io   engine.IOHandler
 
+	// k is the evaluation kernel: the Machine until the first open-loop
+	// burst compiles it to njit (ev). Compiling lazily keeps the
+	// hot-swap step — which constructs the engine — as cheap as placing
+	// the bitstream; machineOnly pins the Machine (the tests' oracle).
+	k           kernel
+	ev          *njit.Eval
+	machineOnly bool
+
 	// Native engines carry no ABI wrapper (paper §4.5): full fabric
 	// speed, no state access, no system tasks.
 	native bool
@@ -48,8 +67,8 @@ type Engine struct {
 	// Separate change-tracking for the runtime-facing data plane
 	// (DrainWrites) and the group-internal routing (drainGroup): an
 	// internal delivery must not hide a change from the runtime.
-	lastOut  map[string]uint64SliceKey
-	lastInt  map[string]uint64SliceKey
+	outs     *netlist.OutputTracker
+	ints     *netlist.OutputTracker
 	finished bool
 
 	// Fault handling: the engine consults the device's injector on
@@ -68,31 +87,27 @@ type Engine struct {
 	msgs   uint64 // MMIO transactions
 }
 
-// uint64SliceKey stores a compact signature of an output value.
-type uint64SliceKey struct {
-	sig string
-}
-
 // New places a compiled program on the device and returns its engine.
 func New(name string, prog *netlist.Program, dev *fpga.Device, areaLEs int, io engine.IOHandler, native bool, now func() uint64) (*Engine, error) {
 	if err := dev.Place(name, areaLEs); err != nil {
 		return nil, err
 	}
-	e := &Engine{
+	m := netlist.NewMachine(prog)
+	m.NowFn = now
+	return &Engine{
 		name:    name,
 		flat:    prog.Flat,
-		m:       netlist.NewMachine(prog),
+		m:       m,
+		k:       m,
 		dev:     dev,
 		io:      io,
 		native:  native,
 		flt:     dev.Faults(),
 		areaLEs: areaLEs,
 		inner:   map[string]engine.Engine{},
-		lastOut: map[string]uint64SliceKey{},
-		lastInt: map[string]uint64SliceKey{},
-	}
-	e.m.NowFn = now
-	return e, nil
+		outs:    netlist.NewOutputTracker(m),
+		ints:    netlist.NewOutputTracker(m),
+	}, nil
 }
 
 // Release frees the engine's fabric region.
@@ -198,6 +213,9 @@ func (e *Engine) SetState(st *sim.State) {
 	e.msgs += words
 	e.dev.CountWrite(words)
 	e.m.SetState(st)
+	if e.ev != nil {
+		e.ev.InvalidateAll()
+	}
 }
 
 // Read implements engine.Engine: one bus write per input event.
@@ -214,12 +232,9 @@ func (e *Engine) Read(ev engine.Event) {
 // DrainWrites implements engine.Engine: one bus read per changed output.
 func (e *Engine) DrainWrites() []engine.Event {
 	var evs []engine.Event
-	for _, v := range e.flat.Outputs {
-		cur := e.m.ReadVar(v)
-		sig := cur.String()
-		if last, seen := e.lastOut[v.Name]; !seen || last.sig != sig {
-			e.lastOut[v.Name] = uint64SliceKey{sig: sig}
-			evs = append(evs, engine.Event{Var: v.Name, Val: cur})
+	for i, v := range e.flat.Outputs {
+		if cur, changed := e.outs.Changed(i); changed {
+			evs = append(evs, engine.Event{Var: v.Name, Val: cur.Clone()})
 			e.msgs++
 			e.dev.CountRead(1)
 		}
@@ -231,7 +246,7 @@ func (e *Engine) DrainWrites() []engine.Event {
 // components as well (ABI forwarding, paper §4.3).
 func (e *Engine) ThereAreEvals() bool {
 	e.bill()
-	if e.m.HasActive() {
+	if e.k.HasActive() {
 		return true
 	}
 	for _, name := range e.order {
@@ -247,8 +262,8 @@ func (e *Engine) ThereAreEvals() bool {
 func (e *Engine) Evaluate() {
 	e.bill()
 	e.cycles++
-	if e.m.HasActive() {
-		e.m.Evaluate()
+	if e.k.HasActive() {
+		e.k.Evaluate()
 	}
 	e.drainGroup()
 	for _, name := range e.order {
@@ -264,7 +279,7 @@ func (e *Engine) Evaluate() {
 // ThereAreUpdates implements engine.Engine.
 func (e *Engine) ThereAreUpdates() bool {
 	e.bill()
-	if e.m.HasUpdates() {
+	if e.k.HasUpdates() {
 		return true
 	}
 	for _, name := range e.order {
@@ -280,8 +295,8 @@ func (e *Engine) ThereAreUpdates() bool {
 func (e *Engine) Update() {
 	e.bill()
 	e.cycles++
-	if e.m.HasUpdates() {
-		e.m.Update()
+	if e.k.HasUpdates() {
+		e.k.Update()
 	}
 	for _, name := range e.order {
 		in := e.inner[name]
@@ -367,16 +382,16 @@ func (e *Engine) deliver(fromName, fromVar string, ev engine.Event) {
 
 // drainGroup broadcasts pending output changes inside the group. It is a
 // no-op until components have been forwarded, so it never interferes with
-// the runtime-facing DrainWrites tracking.
+// the runtime-facing DrainWrites tracking. The machine's changed outputs
+// are lent, not cloned: every receiver (SetInput, the stdlib components'
+// Read) copies what it keeps, as a value routed to several receivers
+// always required.
 func (e *Engine) drainGroup() {
 	if len(e.routes) == 0 && len(e.order) == 0 {
 		return
 	}
-	for _, v := range e.flat.Outputs {
-		cur := e.m.ReadVar(v)
-		sig := cur.String()
-		if last, seen := e.lastInt[v.Name]; !seen || last.sig != sig {
-			e.lastInt[v.Name] = uint64SliceKey{sig: sig}
+	for i, v := range e.flat.Outputs {
+		if cur, changed := e.ints.Changed(i); changed {
 			e.deliver("", v.Name, engine.Event{Var: v.Name, Val: cur})
 		}
 	}
@@ -400,6 +415,10 @@ func (e *Engine) OpenLoop(clk string, steps int) int {
 	e.checkRegion() // one integrity trial per burst
 	if e.flat.VarNamed(clk) == nil {
 		return 0
+	}
+	if e.ev == nil && !e.machineOnly {
+		e.ev = njit.Compile(e.m)
+		e.k = e.ev
 	}
 	done := 0
 	for done < steps {
@@ -439,8 +458,8 @@ func (e *Engine) settleGroup() {
 		progress := true
 		for progress {
 			progress = false
-			if e.m.HasActive() {
-				e.m.Evaluate()
+			if e.k.HasActive() {
+				e.k.Evaluate()
 				progress = true
 			}
 			e.drainGroup()
@@ -454,8 +473,8 @@ func (e *Engine) settleGroup() {
 			e.drainGroup()
 		}
 		updated := false
-		if e.m.HasUpdates() {
-			e.m.Update()
+		if e.k.HasUpdates() {
+			e.k.Update()
 			updated = true
 		}
 		for _, name := range e.order {

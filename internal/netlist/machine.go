@@ -239,6 +239,50 @@ func (m *Machine) ReadVar(v *elab.Var) *bv.Vector {
 	return m.slotVecOwned(m.prog.VarSlot[v.Index])
 }
 
+// ReadVarInto copies the current value of a scalar variable into dst
+// (truncated or zero-extended to dst's width) without allocating, and
+// reports whether dst's value changed.
+func (m *Machine) ReadVarInto(v *elab.Var, dst *bv.Vector) (changed bool) {
+	i := m.prog.VarSlot[v.Index]
+	if w := m.wide[i]; w != nil {
+		return dst.CopyFrom(w)
+	}
+	return dst.SetUint64(m.u64[i])
+}
+
+// OutputTracker detects changes in a Machine's outputs for an engine's
+// change-tracked data plane. It keeps one owned vector per output and
+// refreshes it in place, so polling an unchanged output allocates
+// nothing.
+type OutputTracker struct {
+	m    *Machine
+	last []*bv.Vector
+	seen []bool
+}
+
+// NewOutputTracker tracks the outputs (Flat.Outputs) of m's program.
+func NewOutputTracker(m *Machine) *OutputTracker {
+	outs := m.prog.Flat.Outputs
+	t := &OutputTracker{m: m, last: make([]*bv.Vector, len(outs)), seen: make([]bool, len(outs))}
+	for i, v := range outs {
+		t.last[i] = bv.New(m.prog.Slots[m.prog.VarSlot[v.Index]].Width)
+	}
+	return t
+}
+
+// Changed re-reads output i and reports whether it differs from the
+// value seen by the previous call (every output counts as changed on
+// its first call). The returned vector is the tracker's own copy,
+// valid until the next Changed(i): Clone it to retain it.
+func (t *OutputTracker) Changed(i int) (*bv.Vector, bool) {
+	changed := t.m.ReadVarInto(t.m.prog.Flat.Outputs[i], t.last[i])
+	if !t.seen[i] {
+		t.seen[i] = true
+		changed = true
+	}
+	return t.last[i], changed
+}
+
 // HasActive reports pending evaluation work (there_are_evals).
 func (m *Machine) HasActive() bool { return m.combDirty || m.seqPending }
 

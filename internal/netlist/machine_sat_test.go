@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cascade/internal/bits"
@@ -169,6 +170,58 @@ endmodule`)
 	}
 	if n := testing.AllocsPerRun(200, func() { m.ReadVar(v) }); n > 2 {
 		t.Fatalf("ReadVar narrow: %v allocs/op, want <= 2", n)
+	}
+}
+
+// OutputTracker reports every output on its first poll, then only real
+// changes, narrow and wide alike, and an unchanged poll allocates
+// nothing.
+func TestOutputTrackerChangesAndAllocs(t *testing.T) {
+	_, m, f := compileBoth(t, `
+module M(input wire [7:0] in_n, input wire [99:0] in_w, output wire [7:0] n, output wire [99:0] w);
+  assign n = in_n;
+  assign w = in_w;
+endmodule`)
+	settle := func() {
+		for m.HasActive() {
+			m.Evaluate()
+		}
+	}
+	settle()
+	tr := NewOutputTracker(m)
+	poll := func() (changed []string) {
+		for i, v := range f.Outputs {
+			if cur, ok := tr.Changed(i); ok {
+				changed = append(changed, v.Name+"="+cur.Clone().String())
+			}
+		}
+		return changed
+	}
+	if got := poll(); len(got) != 2 {
+		t.Fatalf("first poll should report every output: %v", got)
+	}
+	if got := poll(); len(got) != 0 {
+		t.Fatalf("unchanged outputs reported: %v", got)
+	}
+	m.SetInput(f.VarNamed("in_w"), bits.FromUint64(100, 0x1234).Shl(bits.FromUint64(8, 70)))
+	settle()
+	got := poll()
+	if len(got) != 1 || !strings.HasPrefix(got[0], "w=") {
+		t.Fatalf("wide change: %v", got)
+	}
+	if want := m.ReadVar(f.VarNamed("w")).String(); got[0] != "w="+want {
+		t.Fatalf("tracked %s, machine holds %s", got[0], want)
+	}
+	m.SetInput(f.VarNamed("in_n"), bits.FromUint64(8, 0x5a))
+	settle()
+	if got := poll(); len(got) != 1 || got[0] != "n="+m.ReadVar(f.VarNamed("n")).String() {
+		t.Fatalf("narrow change: %v", got)
+	}
+	if n := testing.AllocsPerRun(200, func() { tr.Changed(0); tr.Changed(1) }); n != 0 {
+		t.Fatalf("unchanged poll allocates: %v allocs/op", n)
+	}
+	if changed := m.ReadVarInto(f.VarNamed("n"), bits.New(8)); !changed {
+		t.Fatal("ReadVarInto into a zero vector should report a change")
 	}
 }
 

@@ -30,7 +30,7 @@ type Engine struct {
 	flt    *fault.Injector
 	flterr error
 
-	lastOut  map[string]string
+	outs     *netlist.OutputTracker
 	finished bool
 	lastMOps uint64
 }
@@ -41,13 +41,13 @@ func New(name string, prog *netlist.Program, io engine.IOHandler, flt *fault.Inj
 	m := netlist.NewMachine(prog)
 	m.NowFn = now
 	return &Engine{
-		name:    name,
-		flat:    prog.Flat,
-		m:       m,
-		ev:      Compile(m),
-		io:      io,
-		flt:     flt,
-		lastOut: map[string]string{},
+		name: name,
+		flat: prog.Flat,
+		m:    m,
+		ev:   Compile(m),
+		io:   io,
+		flt:  flt,
+		outs: netlist.NewOutputTracker(m),
 	}
 }
 
@@ -97,12 +97,9 @@ func (e *Engine) Read(ev engine.Event) {
 // DrainWrites implements engine.Engine: change-tracked output events.
 func (e *Engine) DrainWrites() []engine.Event {
 	var evs []engine.Event
-	for _, v := range e.flat.Outputs {
-		cur := e.m.ReadVar(v)
-		sig := cur.String()
-		if last, seen := e.lastOut[v.Name]; !seen || last != sig {
-			e.lastOut[v.Name] = sig
-			evs = append(evs, engine.Event{Var: v.Name, Val: cur})
+	for i, v := range e.flat.Outputs {
+		if cur, changed := e.outs.Changed(i); changed {
+			evs = append(evs, engine.Event{Var: v.Name, Val: cur.Clone()})
 		}
 	}
 	return evs

@@ -296,9 +296,20 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot not written: %v", err)
 	}
-	if _, err := runtime.DecodeSnapshot(string(blob)); err != nil {
+	snap, err := runtime.DecodeSnapshot(string(blob))
+	if err != nil {
 		t.Fatalf(":save wrote an undecodable snapshot: %v", err)
 	}
+	// The background scheduler starts before the program line is
+	// evaluated, so a few prelude-only ticks may pass before n exists:
+	// n lags the tick count (Steps/2) by a run-dependent amount. The
+	// round trip must preserve that lag, whatever it is.
+	st, ok := snap.States["main"]
+	if !ok || st.Scalars["n"] == nil {
+		t.Fatalf("snapshot lacks main.n: %v", snap.States)
+	}
+	lag := func(steps, n uint64) uint8 { return uint8(steps/2) - uint8(n) }
+	savedLag := lag(snap.Steps, st.Scalars["n"].Uint64())
 
 	// Session B: :load replaces the fresh program with the saved one and
 	// execution continues from the saved tick count.
@@ -312,8 +323,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if got := b.Runtime().Ticks(); got < 24 {
 		t.Fatalf("loaded session should resume past the save point, at tick %d", got)
 	}
-	if led := b.Runtime().World().Led("main.led"); led != b.Runtime().Steps()/2%256 {
-		t.Fatalf("restored counter out of sync: led=%d steps=%d", led, b.Runtime().Steps())
+	led, steps := b.Runtime().World().Led("main.led"), b.Runtime().Steps()
+	if got := lag(steps, led); got != savedLag {
+		t.Fatalf("restored counter out of sync: led=%d steps=%d, lag %d, saved lag %d", led, steps, got, savedLag)
 	}
 }
 

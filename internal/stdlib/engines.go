@@ -33,8 +33,13 @@ func (b *base) setOut(name string, v *bits.Vector) {
 	}
 }
 
+// setOutU writes a narrow value in place (no allocation on the
+// per-iteration Clock/Pad/Reset paths), marking the output dirty only
+// when it changed.
 func (b *base) setOutU(name string, v uint64) {
-	b.setOut(name, bits.FromUint64(b.outs[name].Width(), v))
+	if b.outs[name].SetUint64(v) {
+		b.dirt[name] = true
+	}
 }
 
 // Name returns the engine's instance path.

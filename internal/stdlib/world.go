@@ -189,7 +189,11 @@ func (w *World) LedVector(path string) *bits.Vector {
 func (w *World) setLed(path string, v *bits.Vector) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.leds[path] = v.Clone()
+	if cur, ok := w.leds[path]; ok && cur.Width() == v.Width() {
+		cur.CopyFrom(v)
+	} else {
+		w.leds[path] = v.Clone()
+	}
 	if w.TraceLeds {
 		w.LedTrace = append(w.LedTrace, v.Uint64())
 	}
